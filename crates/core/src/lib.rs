@@ -49,6 +49,7 @@ mod build;
 mod callee_saved;
 mod dataflow;
 mod dot;
+mod fas;
 mod flow;
 mod incremental;
 pub mod json;
@@ -67,6 +68,7 @@ pub use analysis::{
     Scheduler,
 };
 pub use callee_saved::saved_restored_registers;
+pub use fas::GreedyFas;
 pub use incremental::{reanalyze, AnalysisCache};
 pub use psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, PsgStats, RoutineNodes};
 pub use query::{Query, QueryAnswer, QueryEngine, QueryStats};

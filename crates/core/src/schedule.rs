@@ -60,6 +60,7 @@ use spike_isa::RegSet;
 use spike_program::{Program, RoutineId};
 
 use crate::dataflow::{phase1_init_value, phase2_init_value};
+use crate::fas::GreedyFas;
 use crate::parallel::{par_map_with_pool, SharedMut};
 use crate::psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, RoutineNodes};
 use crate::worklist::PriorityWorklist;
@@ -148,12 +149,34 @@ impl SccSchedule {
         // deltas the settled-boundary rounds must chase. (A plain DFS
         // postorder leaves nearly half the arcs of a dense recursive
         // component pointing backwards.)
+        let mut fas = GreedyFas::default();
+        let mut arcs: Vec<(u32, u32)> = Vec::new();
+        // Routine → position in the component being ordered. Each
+        // component resets the entries it wrote, so the map is filled
+        // once per build, not once per component.
+        let mut local = vec![u32::MAX; n_routines];
         let mut rrank1 = vec![0u32; n_routines];
         let mut next = 0u32;
         for component in sccs.bottom_up() {
-            for &r in &feedback_arc_order(component, &graph) {
-                rrank1[r.index()] = next;
+            for (i, r) in component.iter().enumerate() {
+                local[r.index()] = i as u32;
+            }
+            // Arc callee→caller: the direction phase-1 information flows.
+            arcs.clear();
+            for (i, r) in component.iter().enumerate() {
+                for &w in graph.callees(*r) {
+                    let lw = local[w.index()];
+                    if lw != u32::MAX && lw as usize != i {
+                        arcs.push((lw, i as u32));
+                    }
+                }
+            }
+            for &x in fas.order(component.len(), &arcs) {
+                rrank1[component[x as usize].index()] = next;
                 next += 1;
+            }
+            for r in component {
+                local[r.index()] = u32::MAX;
             }
         }
         // Phase 2 reverses the priority. An arc is schedule-friendly in
@@ -184,8 +207,7 @@ impl SccSchedule {
             for (i, x) in nodes.iter().enumerate() {
                 local[x.index() - base] = i as u32;
             }
-            let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-            let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
+            arcs.clear();
             for (i, x) in nodes.iter().enumerate() {
                 for &e in &psg.out_edges[x.index()] {
                     let y = psg.edges()[e.index()].to().index();
@@ -193,12 +215,11 @@ impl SccSchedule {
                     let ly = local[y - base];
                     if ly as usize != i {
                         // Reader `x` depends on target `y`: arc y→x.
-                        out_adj[ly as usize].push(i as u32);
-                        in_adj[i].push(ly);
+                        arcs.push((ly, i as u32));
                     }
                 }
             }
-            for (rank, &x) in greedy_fas(&out_adj, &in_adj).iter().enumerate() {
+            for (rank, &x) in fas.order(nodes.len(), &arcs).iter().enumerate() {
                 node_rank[nodes[x as usize].index()] = rank as u32;
             }
         }
@@ -296,186 +317,6 @@ impl SccSchedule {
     pub(crate) fn components(&self) -> usize {
         self.comp_nodes.len()
     }
-}
-
-/// Orders one call-graph component so that as few arcs as possible run
-/// from a caller down to one of its callees — the greedy feedback-arc
-/// heuristic of Eades, Lin and Smyth over the callee→caller digraph.
-/// Sinks of the digraph (routines calling no one else in the component)
-/// peel off to the back, sources (routines nobody in the component
-/// calls) to the front; when neither exists the node with the largest
-/// out-minus-in degree is placed next, and the peeling repeats on what
-/// is left.
-fn feedback_arc_order(component: &[RoutineId], graph: &CallGraph) -> Vec<RoutineId> {
-    let n = component.len();
-    if n <= 1 {
-        return component.to_vec();
-    }
-    let max_idx = component.iter().map(|r| r.index()).max().unwrap();
-    let mut local = vec![u32::MAX; max_idx + 1];
-    for (i, r) in component.iter().enumerate() {
-        local[r.index()] = i as u32;
-    }
-    // Arc callee→caller: the direction phase-1 information flows.
-    let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, r) in component.iter().enumerate() {
-        for &w in graph.callees(*r) {
-            if w.index() > max_idx {
-                continue;
-            }
-            let lw = local[w.index()];
-            if lw != u32::MAX && lw as usize != i {
-                out_adj[lw as usize].push(i as u32);
-                in_adj[i].push(lw);
-            }
-        }
-    }
-    greedy_fas(&out_adj, &in_adj).into_iter().map(|x| component[x as usize]).collect()
-}
-
-/// The Eades–Lin–Smyth greedy core shared by the routine-level and
-/// node-level orderings: returns a permutation of `0..n` minimizing
-/// (heuristically) the arcs that point from a later position to an
-/// earlier one. Arcs follow information flow, so "few backward arcs"
-/// means "few values read before they have settled".
-fn greedy_fas(out_adj: &[Vec<u32>], in_adj: &[Vec<u32>]) -> Vec<u32> {
-    let n = out_adj.len();
-    let mut outdeg: Vec<u32> = out_adj.iter().map(|a| a.len() as u32).collect();
-    let mut indeg: Vec<u32> = in_adj.iter().map(|a| a.len() as u32).collect();
-    let mut alive = vec![true; n];
-    let mut head: Vec<u32> = Vec::with_capacity(n);
-    let mut tail: Vec<u32> = Vec::new();
-    let mut remaining = n;
-    while remaining > 0 {
-        let mut pick = usize::MAX;
-        let mut best = i64::MIN;
-        let mut peeled = false;
-        for x in 0..n {
-            if !alive[x] {
-                continue;
-            }
-            if outdeg[x] == 0 {
-                alive[x] = false;
-                remaining -= 1;
-                peeled = true;
-                for &z in &in_adj[x] {
-                    if alive[z as usize] {
-                        outdeg[z as usize] -= 1;
-                    }
-                }
-                tail.push(x as u32);
-            } else if indeg[x] == 0 {
-                alive[x] = false;
-                remaining -= 1;
-                peeled = true;
-                for &y in &out_adj[x] {
-                    if alive[y as usize] {
-                        indeg[y as usize] -= 1;
-                    }
-                }
-                head.push(x as u32);
-            } else {
-                let d = outdeg[x] as i64 - indeg[x] as i64;
-                if d > best {
-                    best = d;
-                    pick = x;
-                }
-            }
-        }
-        // Only trust `pick` when the pass removed nothing: a peel would
-        // have changed the degrees it was chosen by.
-        if !peeled && pick != usize::MAX {
-            alive[pick] = false;
-            remaining -= 1;
-            for &z in &in_adj[pick] {
-                if alive[z as usize] {
-                    outdeg[z as usize] -= 1;
-                }
-            }
-            for &y in &out_adj[pick] {
-                if alive[y as usize] {
-                    indeg[y as usize] -= 1;
-                }
-            }
-            head.push(pick as u32);
-        }
-    }
-    tail.reverse();
-    head.extend(tail);
-
-    // Sifting refinement: repeatedly move single vertices to the
-    // position that minimizes their backward arcs, until a full pass
-    // finds no improving move (bounded, since every move strictly
-    // reduces the backward-arc count).
-    let mut pos_of = vec![0u32; n];
-    for (p, &v) in head.iter().enumerate() {
-        pos_of[v as usize] = p as u32;
-    }
-    let mut contrib = vec![0i32; n];
-    loop {
-        let mut improved = false;
-        for v in 0..n {
-            if out_adj[v].is_empty() && in_adj[v].is_empty() {
-                continue;
-            }
-            // Walking the insertion point of `v` left to right past a
-            // vertex `u`: arcs u→v turn forward (cost −1), arcs v→u
-            // turn backward (cost +1).
-            for &u in &out_adj[v] {
-                contrib[pos_of[u as usize] as usize] += 1;
-            }
-            for &u in &in_adj[v] {
-                contrib[pos_of[u as usize] as usize] -= 1;
-            }
-            let here = pos_of[v] as usize;
-            // Scan the insertion slots left to right; `best_p == -1` is
-            // the slot in front of everything (relative cost 0).
-            let (mut run, mut best, mut best_p) = (0i32, 0i32, -1i64);
-            let mut cost_here = 0i32;
-            for (p, &c) in contrib.iter().enumerate().take(n) {
-                if p == here {
-                    cost_here = run;
-                    continue;
-                }
-                run += c;
-                if run < best {
-                    best = run;
-                    best_p = p as i64;
-                }
-            }
-            // Reset the scratch before any positions shift.
-            for &u in &out_adj[v] {
-                contrib[pos_of[u as usize] as usize] = 0;
-            }
-            for &u in &in_adj[v] {
-                contrib[pos_of[u as usize] as usize] = 0;
-            }
-            if best < cost_here {
-                let to = if best_p < here as i64 { (best_p + 1) as usize } else { best_p as usize };
-                if here < to {
-                    for p in here..to {
-                        let w = head[p + 1];
-                        head[p] = w;
-                        pos_of[w as usize] = p as u32;
-                    }
-                } else {
-                    for p in (to..here).rev() {
-                        let w = head[p];
-                        head[p + 1] = w;
-                        pos_of[w as usize] = (p + 1) as u32;
-                    }
-                }
-                head[to] = v as u32;
-                pos_of[v] = to as u32;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    head
 }
 
 /// Reusable per-worker scratch for the component solvers: the
@@ -1385,4 +1226,62 @@ unsafe fn recompute_cr_uses_view(v: &Phase1Views<'_>, e: EdgeId) -> RegSet {
     let grown = may_use - edge.may_use;
     edge.may_use = may_use;
     grown
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::AnalysisOptions;
+    use crate::build::build_psg;
+    use spike_cfg::RoutineCfg;
+    use spike_program::ProgramBuilder;
+
+    /// Many small recursive components at high routine indices: each
+    /// pair still orders callee-first against everything it calls
+    /// outside itself, and the two phase ranks stay exact reverses.
+    #[test]
+    fn many_recursive_pairs_rank_callee_first() {
+        const PAIRS: usize = 1500;
+        let mut b = ProgramBuilder::new();
+        b.routine("main").call(&format!("p{}", PAIRS - 1)).ret();
+        for i in 0..PAIRS {
+            let p = b.routine(&format!("p{i}"));
+            p.call(&format!("q{i}"));
+            if i > 0 {
+                p.call(&format!("p{}", i - 1));
+            }
+            p.ret();
+            b.routine(&format!("q{i}")).call(&format!("p{i}")).ret();
+        }
+        b.set_entry("main");
+        let program = b.build().unwrap();
+        let n_routines = program.routines().len();
+        let mut cfgs: Vec<RoutineCfg> = (0..n_routines)
+            .map(|i| RoutineCfg::build_structure(&program, RoutineId::from_index(i)))
+            .collect();
+        for c in &mut cfgs {
+            c.init_def_ubd(&program);
+        }
+        let cfg = ProgramCfg::from_cfgs(cfgs);
+        let psg = build_psg(&program, &cfg, &AnalysisOptions::default(), 1);
+        let schedule = SccSchedule::build(&program, &cfg, &psg);
+
+        assert_eq!(schedule.components(), PAIRS + 1);
+        let mut ranks = schedule.rrank1.clone();
+        ranks.sort_unstable();
+        assert!(ranks.iter().enumerate().all(|(i, &r)| r as usize == i), "ranks permute");
+        let graph = CallGraph::build(&program, &cfg);
+        for r in 0..n_routines {
+            let rid = RoutineId::from_index(r);
+            assert_eq!(schedule.rrank2[r] as usize, n_routines - 1 - schedule.rrank1[r] as usize);
+            for &w in graph.callees(rid) {
+                if schedule.component_of_routine(w) != schedule.component_of_routine(rid) {
+                    assert!(
+                        schedule.rrank1[w.index()] < schedule.rrank1[r],
+                        "callee {w:?} ranks after its caller {rid:?}"
+                    );
+                }
+            }
+        }
+    }
 }

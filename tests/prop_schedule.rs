@@ -12,7 +12,12 @@
 
 use proptest::prelude::*;
 
-use spike::core::{analyze_with, AnalysisCache, AnalysisOptions, Representation, Scheduler};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use spike::core::{
+    analyze_with, AnalysisCache, AnalysisOptions, GreedyFas, Representation, Scheduler,
+};
 use spike::program::{Program, Rewriter};
 
 fn arb_program() -> impl Strategy<Value = Program> {
@@ -78,6 +83,36 @@ fn sparse_matches_dense_on_all_profiles() {
         assert_eq!(sparse1.stats.representation, Representation::Sparse, "{}", p.name);
         assert_eq!(dense.stats.representation, Representation::Dense, "{}", p.name);
     }
+}
+
+/// The feedback-arc ordering behind the scheduler's ranks does linear
+/// work. Its work count is deterministic, so bounding it on seeded dense
+/// SCCs (a Hamiltonian cycle plus 16 random arcs per vertex) guards
+/// against a quadratic pick or refinement pass without timing anything:
+/// work stays within `4(n + m)`, and doubling the SCC at most
+/// 2.3-folds it.
+#[test]
+fn feedback_arc_order_work_is_linear() {
+    let work = |n: u32| {
+        let mut rng = StdRng::seed_from_u64(u64::from(n));
+        let mut arcs: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        while arcs.len() < 17 * n as usize {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                arcs.push((a, b));
+            }
+        }
+        let mut fas = GreedyFas::default();
+        let mut placed = fas.order(n as usize, &arcs).to_vec();
+        placed.sort_unstable();
+        assert!(placed.iter().copied().eq(0..n), "the order permutes the vertices");
+        let bound = 4 * (n as usize + arcs.len());
+        assert!(fas.work() <= bound, "n = {n}: work {} > 4(n + m) = {bound}", fas.work());
+        fas.work()
+    };
+    let (w4k, w8k) = (work(4096), work(8192));
+    let ratio = w8k as f64 / w4k as f64;
+    assert!(ratio <= 2.3, "work grew {ratio:.2}x from 4k to 8k vertices ({w4k} -> {w8k})");
 }
 
 proptest! {
