@@ -17,11 +17,9 @@
 //! incremental re-analysis off and on, cross-checks bit-identical output
 //! programs, and writes the measurements to `BENCH_incremental.json`.
 //! The `phases` section (not part of `all`) compares the chaotic FIFO
-//! reference, the SCC-wave engine over dense per-node sets, and the
-//! default SCC-wave engine over sparse def-use chains on the two largest
-//! benchmarks, cross-checks bit-identical results at 1 and N workers for
-//! both representations, and writes the measurements to
-//! `BENCH_phases.json`.
+//! oracle with the SCC-wave engine on gcc and sqlservr, cross-checks
+//! bit-identical results, and writes visit counts and in-process
+//! phase 1 + 2 wall times to `BENCH_phases.json`.
 //! The `serve` section (not part of `all`) starts an in-process
 //! `spike-served` daemon, measures cold vs warm vs incremental-warm
 //! request throughput at 1/4/8 concurrent clients, cross-checks that
@@ -619,29 +617,27 @@ fn incremental_report(scale: f64, seed: u64, threads: usize) {
     }
 }
 
-/// Compares the chaotic FIFO reference, the SCC-wave schedule solving
-/// dense per-node sets, and the SCC-wave schedule solving contracted
-/// sparse def-use chains (the default). Cross-checks that all three
-/// engines — and both SCC-wave representations at 1 and N wave workers —
-/// produce bit-identical results, and records the visit reductions in
+/// Compares the chaotic FIFO oracle with the SCC-wave engine. Asserts
+/// that both produce bit-identical results, and records the visit
+/// reduction plus each engine's phase 1 + 2 wall time (the best of
+/// three alternating in-process runs; recorded, never gated on) in
 /// `BENCH_phases.json`.
 fn phases_report(scale: f64, seed: u64, threads: usize) {
-    use spike_core::{analyze_with, AnalysisOptions, Representation, Scheduler};
+    use spike_core::{analyze_with, Analysis, AnalysisOptions, Scheduler};
 
     let requested = spike_core::parallel::resolve_threads(threads);
-    println!("## Fixpoint scheduling: FIFO vs SCC-wave, dense vs sparse chains\n");
+    println!("## Fixpoint scheduling: FIFO vs SCC-wave\n");
     println!(
-        "{:<10} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8}",
+        "{:<10} {:>9} {:>11} {:>11} {:>11} {:>11} {:>8} {:>9} {:>9}",
         "benchmark",
         "routines",
         "fifo p1",
         "fifo p2",
-        "dense p1",
-        "dense p2",
-        "sparse p1",
-        "sparse p2",
+        "sched p1",
+        "sched p2",
         "sched-x",
-        "sparse-x"
+        "fifo ms",
+        "sched ms"
     );
 
     let mut rows = Vec::new();
@@ -650,110 +646,68 @@ fn phases_report(scale: f64, seed: u64, threads: usize) {
         eprintln!("measuring {name} ...");
         let program = spike_synth::generate(&p, scale, seed);
 
-        let run = |scheduler: Scheduler, representation: Representation, t: usize| {
-            analyze_with(
-                &program,
-                &AnalysisOptions {
-                    scheduler,
-                    representation,
-                    threads: t,
-                    ..AnalysisOptions::default()
-                },
-            )
+        let run = |scheduler: Scheduler| {
+            let options = AnalysisOptions { scheduler, threads, ..AnalysisOptions::default() };
+            analyze_with(&program, &options)
         };
-        let fifo = run(Scheduler::Fifo, Representation::Dense, 1);
-        let serial = run(Scheduler::SccWave, Representation::Dense, 1);
-        let wide = run(Scheduler::SccWave, Representation::Dense, requested);
-        let sparse = run(Scheduler::SccWave, Representation::Sparse, 1);
-        let sparse_wide = run(Scheduler::SccWave, Representation::Sparse, requested);
+        let phase_ms = |a: &Analysis| (a.stats.phase1 + a.stats.phase2).as_secs_f64() * 1e3;
+        let mut fifo = run(Scheduler::Fifo);
+        let mut sched = run(Scheduler::SccWave);
+        let (mut fifo_ms, mut sched_ms) = (phase_ms(&fifo), phase_ms(&sched));
+        for _ in 1..3 {
+            fifo = run(Scheduler::Fifo);
+            sched = run(Scheduler::SccWave);
+            fifo_ms = fifo_ms.min(phase_ms(&fifo));
+            sched_ms = sched_ms.min(phase_ms(&sched));
+        }
 
-        // The determinism contract, checked on real workloads: scheduler
-        // and representation are pure strategy, so summaries, the PSG
-        // solution and the deterministic memory accounting must be
-        // bit-identical whichever engine ran and however many workers
-        // solved the waves.
+        // The determinism contract, checked on real workloads: the
+        // scheduler is pure strategy, so summaries, the PSG solution,
+        // the stack-slot facts and the deterministic memory accounting
+        // must be bit-identical whichever engine ran.
         for (rid, r) in program.iter() {
             assert_eq!(
                 fifo.summary.routine(rid),
-                serial.summary.routine(rid),
+                sched.summary.routine(rid),
                 "fifo vs scheduled summary mismatch for {}",
                 r.name()
             );
-            assert_eq!(
-                serial.summary.routine(rid),
-                wide.summary.routine(rid),
-                "threads=1 vs threads={requested} summary mismatch for {}",
-                r.name()
-            );
-            assert_eq!(
-                serial.summary.routine(rid),
-                sparse.summary.routine(rid),
-                "dense vs sparse summary mismatch for {}",
-                r.name()
-            );
         }
-        assert_eq!(fifo.psg, serial.psg);
-        assert_eq!(serial.psg, wide.psg);
-        assert_eq!(serial.psg, sparse.psg, "dense vs sparse PSG mismatch");
-        assert_eq!(serial.psg, sparse_wide.psg, "dense vs wide sparse PSG mismatch");
-        assert_eq!(fifo.stats.memory_bytes, serial.stats.memory_bytes);
-        assert_eq!(serial.stats.memory_bytes, wide.stats.memory_bytes);
-        assert_eq!(serial.stats.memory_bytes, sparse.stats.memory_bytes);
-        // Wave workers partition the schedule rather than race for it,
-        // so the effort is also deterministic across worker counts, for
-        // both representations.
-        assert_eq!(serial.stats.phase1_visits, wide.stats.phase1_visits);
-        assert_eq!(serial.stats.phase2_visits, wide.stats.phase2_visits);
-        assert_eq!(serial.stats.waves, wide.stats.waves);
-        assert_eq!(sparse.stats.phase1_visits, sparse_wide.stats.phase1_visits);
-        assert_eq!(sparse.stats.phase2_visits, sparse_wide.stats.phase2_visits);
-        // The stack-slot dataflows ride the same schedule and are pure
-        // strategy-independent facts: identical results and effort
-        // whichever register engine ran alongside them.
-        assert_eq!(fifo.stack, serial.stack, "fifo vs scheduled stack mismatch");
-        assert_eq!(serial.stack, sparse.stack, "dense vs sparse stack mismatch");
-        assert_eq!(serial.stack, wide.stack, "serial vs wide stack mismatch");
-        assert_eq!(serial.stats.stack_forward_visits, wide.stats.stack_forward_visits);
-        assert_eq!(serial.stats.stack_backward_visits, wide.stats.stack_backward_visits);
+        assert_eq!(fifo.psg, sched.psg, "fifo vs scheduled PSG mismatch");
+        assert_eq!(fifo.stats.memory_bytes, sched.stats.memory_bytes);
+        assert_eq!(fifo.stack, sched.stack, "fifo vs scheduled stack mismatch");
 
         let fifo_total = fifo.stats.phase1_visits + fifo.stats.phase2_visits;
-        let sched_total = serial.stats.phase1_visits + serial.stats.phase2_visits;
-        let sparse_total = sparse.stats.phase1_visits + sparse.stats.phase2_visits;
+        let sched_total = sched.stats.phase1_visits + sched.stats.phase2_visits;
         let reduction = fifo_total as f64 / sched_total.max(1) as f64;
-        let sparse_reduction = sched_total as f64 / sparse_total.max(1) as f64;
         println!(
-            "{:<10} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>7.2}x {:>7.2}x",
+            "{:<10} {:>9} {:>11} {:>11} {:>11} {:>11} {:>7.2}x {:>9.1} {:>9.1}",
             name,
             program.routines().len(),
             fifo.stats.phase1_visits,
             fifo.stats.phase2_visits,
-            serial.stats.phase1_visits,
-            serial.stats.phase2_visits,
-            sparse.stats.phase1_visits,
-            sparse.stats.phase2_visits,
+            sched.stats.phase1_visits,
+            sched.stats.phase2_visits,
             reduction,
-            sparse_reduction,
+            fifo_ms,
+            sched_ms,
         );
         rows.push(format!(
             "    {{\"benchmark\": \"{name}\", \"routines\": {}, \"scale\": {scale}, \
              \"fifo_phase1_visits\": {}, \"fifo_phase2_visits\": {}, \
              \"sched_phase1_visits\": {}, \"sched_phase2_visits\": {}, \
-             \"sparse_phase1_visits\": {}, \"sparse_phase2_visits\": {}, \
              \"slot_forward_visits\": {}, \"slot_backward_visits\": {}, \
-             \"visit_reduction\": {reduction:.3}, \
-             \"sparse_reduction\": {sparse_reduction:.3}, \"waves\": {}, \
-             \"phase_workers\": {}, \"results_identical\": true}}",
+             \"visit_reduction\": {reduction:.3}, \"waves\": {}, \
+             \"fifo_phase_ms\": {fifo_ms:.1}, \"sched_phase_ms\": {sched_ms:.1}, \
+             \"results_identical\": true}}",
             program.routines().len(),
             fifo.stats.phase1_visits,
             fifo.stats.phase2_visits,
-            serial.stats.phase1_visits,
-            serial.stats.phase2_visits,
-            sparse.stats.phase1_visits,
-            sparse.stats.phase2_visits,
-            serial.stats.stack_forward_visits,
-            serial.stats.stack_backward_visits,
-            wide.stats.waves,
-            wide.stats.phase_workers,
+            sched.stats.phase1_visits,
+            sched.stats.phase2_visits,
+            sched.stats.stack_forward_visits,
+            sched.stats.stack_backward_visits,
+            sched.stats.waves,
         ));
     }
 

@@ -151,48 +151,6 @@ mod tests {
         }
     }
 
-    /// The harness dogfoods the representation contract at a bench-like
-    /// scale: dense and sparse runs of the same workload are
-    /// bit-identical in every observable, and the sparse engine never
-    /// spends more visits.
-    #[test]
-    fn dense_and_sparse_agree_at_bench_scale() {
-        use spike_core::Representation;
-        for name in ["compress", "gcc"] {
-            let p = profile(name).unwrap();
-            let program = generate(&p, 0.2, DEFAULT_SEED);
-            let dense = analyze_with(
-                &program,
-                &AnalysisOptions {
-                    representation: Representation::Dense,
-                    ..AnalysisOptions::default()
-                },
-            );
-            let sparse = analyze_with(
-                &program,
-                &AnalysisOptions {
-                    representation: Representation::Sparse,
-                    ..AnalysisOptions::default()
-                },
-            );
-            for (rid, r) in program.iter() {
-                assert_eq!(
-                    dense.summary.routine(rid),
-                    sparse.summary.routine(rid),
-                    "dense vs sparse summary mismatch for {} in {name}",
-                    r.name()
-                );
-            }
-            assert_eq!(dense.psg, sparse.psg, "dense vs sparse PSG mismatch in {name}");
-            assert_eq!(dense.stats.memory_bytes, sparse.stats.memory_bytes);
-            assert!(
-                sparse.stats.phase1_visits + sparse.stats.phase2_visits
-                    <= dense.stats.phase1_visits + dense.stats.phase2_visits,
-                "sparse must not visit more than dense in {name}"
-            );
-        }
-    }
-
     #[test]
     fn linear_fit_recovers_a_line() {
         let x = [1.0, 2.0, 3.0, 4.0];

@@ -362,12 +362,6 @@ impl Condensation {
         self.waves_bottom_up.len()
     }
 
-    /// The widest wave (most mutually independent components in one
-    /// wave) — the available cross-component parallelism.
-    pub fn max_wave_width(&self) -> usize {
-        self.waves_bottom_up.iter().chain(&self.waves_top_down).map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Waves in callees-before-callers order: solving them in sequence
     /// guarantees every callee component converges before any caller
     /// component starts (phase 1).
@@ -579,7 +573,7 @@ mod tests {
         assert_eq!(cond.level_top_down(comp("even")), 1);
         assert_eq!(cond.level_top_down(comp("lib")), 2);
         assert_eq!(cond.waves(), 3);
-        assert_eq!(cond.max_wave_width(), 2);
+        assert_eq!(cond.waves_bottom_up().iter().map(Vec::len).max(), Some(2));
 
         // Every call edge separates wave levels in both directions.
         for c in 0..sccs.components().len() {
@@ -630,7 +624,7 @@ mod tests {
         let (_, cg) = graph_of(&b);
         let cond = cg.sccs().condense(&cg);
         assert_eq!(cond.waves(), n);
-        assert_eq!(cond.max_wave_width(), 1);
+        assert!(cond.waves_bottom_up().iter().all(|w| w.len() == 1));
     }
 
     #[test]

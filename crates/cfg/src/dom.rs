@@ -1,13 +1,9 @@
 //! Dominance over [`RoutineCfg`]: dominator trees, dominance frontiers
 //! and postdominators.
 //!
-//! The sparse dataflow representation (`spike-core`) contracts chains of
-//! PSG nodes whose values are closed-form functions of a downstream
-//! anchor; the soundness of a contraction is a *postdominance* fact (every
-//! terminating path from the node reaches the anchor's block), so this
-//! module provides the forward and backward dominator machinery over a
-//! routine's basic blocks — and it is the foundation the planned
-//! loop-aware optimizations (natural-loop detection, LICM) build on.
+//! This module provides the forward and backward dominator machinery
+//! over a routine's basic blocks: the foundation the loop-aware layers
+//! (natural-loop detection, LICM, spill placement) build on.
 //!
 //! The construction is the Cooper–Harvey–Kennedy iterative algorithm
 //! ("A Simple, Fast Dominance Algorithm"): immediate dominators by

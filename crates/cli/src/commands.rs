@@ -5,7 +5,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use spike_core::{analyze, analyze_with, AnalysisCache, AnalysisOptions, Query, Representation};
+use spike_core::{analyze, analyze_with, AnalysisCache, AnalysisOptions, Query};
 use spike_program::Program;
 use spike_serve::render;
 use spike_serve::{Command, Endpoint, LintFormat, QueryKind, Request, ServeOptions, Server};
@@ -22,7 +22,7 @@ commands:
   asm <file.s> -o <img>                             assemble a text module
   disasm <img>                                      disassemble to parseable assembly
   analyze <img> [--summaries] [--routine NAME] [--profile p.prof] [--threads N]
-                [--sparse|--dense]                  interprocedural dataflow analysis
+                                                    interprocedural dataflow analysis
                                                     (--profile adds hot/cold routines)
   optimize <img> -o <img> [--threads N] [--iterate] [--profile p.prof] [--no-licm]
            [--incremental|--no-incremental]         apply the Figure-1 optimizations
@@ -43,8 +43,7 @@ commands:
   serve [--listen HOST:PORT] [--unix PATH] [--workers N] [--cache-bytes N]
         [--queue N] [--max-frame-bytes N] [--deadline-ms N] [--threads N]
         [--snapshot PATH] [--snapshot-interval-ms N] [--no-reactor]
-        [--cluster A,B,C --shard-index I] [--sparse|--dense]
-                                                    run the analysis daemon
+        [--cluster A,B,C --shard-index I]           run the analysis daemon
   route --listen HOST:PORT --cluster A,B,C [--workers N] [--max-frame-bytes N]
                                                     run the cluster routing front
   client <cmd> [args] --connect <HOST:PORT|unix:PATH> [--deadline-ms N]
@@ -57,10 +56,6 @@ commands:
           [--routines K] [--seed S]                 hold N concurrent connections
                                                     against a daemon and report
                                                     p50/p95/p99 latency as JSON
-
-analyze, optimize, query, compare, and serve solve on the sparse def-use
-chain representation by default; --dense selects the dense per-node engine
-the sparse one is validated against.
 ";
 
 /// Parses and executes one invocation. The returned code is the process
@@ -128,7 +123,6 @@ struct Opts<'a> {
     queue: Option<usize>,
     max_frame_bytes: Option<usize>,
     deadline_ms: Option<u64>,
-    representation: Representation,
     snapshot: Option<&'a str>,
     snapshot_interval_ms: Option<u64>,
     no_reactor: bool,
@@ -163,7 +157,6 @@ fn parse(args: &[String]) -> Result<Opts<'_>> {
         queue: None,
         max_frame_bytes: None,
         deadline_ms: None,
-        representation: Representation::default(),
         snapshot: None,
         snapshot_interval_ms: None,
         no_reactor: false,
@@ -213,8 +206,6 @@ fn parse(args: &[String]) -> Result<Opts<'_>> {
             "--connections" => o.connections = want("--connections")?.parse()?,
             "--inflight" => o.inflight = want("--inflight")?.parse()?,
             "--images" => o.images = want("--images")?.parse()?,
-            "--sparse" => o.representation = Representation::Sparse,
-            "--dense" => o.representation = Representation::Dense,
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}`").into())
             }
@@ -318,11 +309,7 @@ fn cmd_analyze(args: &[String]) -> Result<()> {
     let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let program = Program::from_image(&bytes)?;
     let profile = o.profile.map(|p| load_profile(p, &bytes)).transpose()?;
-    let options = AnalysisOptions {
-        threads: o.threads,
-        representation: o.representation,
-        ..AnalysisOptions::default()
-    };
+    let options = AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() };
     let analysis = analyze_with(&program, &options);
     // Deterministic report on stdout, timing/scheduler diagnostics on
     // stderr — the same renderers the daemon uses, so `spike client
@@ -346,11 +333,7 @@ fn cmd_optimize(args: &[String]) -> Result<()> {
     let profile = o.profile.map(|p| load_profile(p, &bytes)).transpose()?;
     let pgo = profile.is_some();
     let opt_options = spike_opt::OptOptions {
-        analysis: AnalysisOptions {
-            threads: o.threads,
-            representation: o.representation,
-            ..AnalysisOptions::default()
-        },
+        analysis: AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() },
         iterate: o.iterate,
         incremental: o.incremental,
         licm: o.licm,
@@ -475,11 +458,7 @@ fn cmd_query(args: &[String]) -> Result<ExitCode> {
     let program = load(path)?;
     let rid =
         program.routine_by_name(routine).ok_or_else(|| format!("no routine named `{routine}`"))?;
-    let options = AnalysisOptions {
-        threads: o.threads,
-        representation: o.representation,
-        ..AnalysisOptions::default()
-    };
+    let options = AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() };
     // The cache starts cold, so the engine solves exactly the query's
     // cone — the same demand path the daemon uses for a fresh image.
     let mut cache = AnalysisCache::new(options);
@@ -539,11 +518,7 @@ fn compare(args: &[String]) -> Result<()> {
         return Err("compare needs an image path".into());
     };
     let program = load(path)?;
-    let options = AnalysisOptions {
-        threads: o.threads,
-        representation: o.representation,
-        ..AnalysisOptions::default()
-    };
+    let options = AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() };
     let psg = analyze_with(&program, &options);
     let full = spike_baseline::analyze_baseline_with(&program, &options);
     let report = render::compare_report(&program, &psg, &full)?;
@@ -559,7 +534,6 @@ fn serve(args: &[String]) -> Result<()> {
         unix: o.unix.map(PathBuf::from),
         workers: o.workers,
         analysis_threads: o.threads,
-        analysis_representation: o.representation,
         ..ServeOptions::default()
     };
     if let Some(n) = o.cache_bytes {

@@ -8,11 +8,10 @@ use spike_isa::{CallingStandard, CloneExact, HeapSize, Reg, RegSet};
 use spike_program::{Program, RoutineId};
 
 use crate::build::build_psg;
-use crate::dataflow::{run_phase1, run_phase2};
+use crate::dataflow::{run_phase1_seeded, run_phase2_seeded};
 use crate::parallel::{par_for_each_mut, par_map, resolve_threads};
 use crate::psg::{NodeId, Psg};
 use crate::schedule::{run_phase1_scheduled, run_phase2_scheduled, SccSchedule};
-use crate::sparse::{run_phase1_sparse, run_phase2_sparse, SparseProgram};
 use crate::stack::{analyze_stack, StackAnalysis};
 use crate::summary::ProgramSummary;
 
@@ -24,42 +23,14 @@ use crate::summary::ProgramSummary;
 pub enum Scheduler {
     /// The two-level engine (default): condense the call graph into
     /// SCCs, solve phase 1 bottom-up and phase 2 top-down in waves,
-    /// each component under a dependency-ordered priority worklist,
-    /// independent components of a wave in parallel. Converged
-    /// components are never revisited.
+    /// each component under a dependency-ordered priority worklist.
+    /// Converged components are never revisited.
     #[default]
     SccWave,
-    /// Flat chaotic FIFO iteration over the whole PSG — the reference
-    /// implementation the scheduled engine is measured against.
+    /// Flat chaotic FIFO iteration over the whole PSG — the paper's
+    /// Figures 8 and 10 taken literally, kept as the oracle the
+    /// scheduled engine is checked and measured against.
     Fifo,
-}
-
-/// Which value representation the SCC-wave engine's intra-routine solving
-/// iterates over. Both converge to the same least fixpoint — summaries,
-/// PSG, liveness and `memory_bytes` are bit-identical — they differ only
-/// in effort (`phase1_visits`/`phase2_visits` count chain evaluations
-/// under [`Representation::Sparse`]) and time.
-///
-/// The FIFO scheduler always solves dense, whatever this option says.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Representation {
-    /// Contract pass-through def-use chains and iterate only the join
-    /// anchors (the default): see [`crate::sparse`].
-    #[default]
-    Sparse,
-    /// Iterate every PSG node's dense register sets — the oracle the
-    /// sparse engine is checked against.
-    Dense,
-}
-
-impl Representation {
-    /// The lowercase flag/report spelling (`"sparse"` / `"dense"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Representation::Sparse => "sparse",
-            Representation::Dense => "dense",
-        }
-    }
 }
 
 /// Tuning knobs for the analysis, mirroring the paper's design choices.
@@ -87,10 +58,6 @@ pub struct AnalysisOptions {
     /// How the dataflow phases schedule node evaluations; see
     /// [`Scheduler`]. Results are bit-identical either way.
     pub scheduler: Scheduler,
-    /// Whether the SCC-wave engine solves over sparse def-use chains or
-    /// dense per-node sets; see [`Representation`]. Results are
-    /// bit-identical either way.
-    pub representation: Representation,
 }
 
 impl Default for AnalysisOptions {
@@ -108,7 +75,6 @@ impl Default for AnalysisOptions {
             exported_live_at_exit,
             threads: 0,
             scheduler: Scheduler::default(),
-            representation: Representation::default(),
         }
     }
 }
@@ -176,25 +142,17 @@ pub struct AnalysisStats {
     /// Time for the interprocedural stack-slot analysis (frame models,
     /// MOD/REF/KILL summaries, and both slot dataflows).
     pub stack_build: Duration,
-    /// Node evaluations performed by phase 1 (chain evaluations under
-    /// [`Representation::Sparse`]).
+    /// Node evaluations performed by phase 1.
     pub phase1_visits: usize,
-    /// Node evaluations performed by phase 2 (chain evaluations under
-    /// [`Representation::Sparse`]).
+    /// Node evaluations performed by phase 2.
     pub phase2_visits: usize,
     /// Block evaluations of the forward MUST-defined stack-slot solver.
     pub stack_forward_visits: usize,
     /// Block evaluations of the backward MAY-live stack-slot solver.
     pub stack_backward_visits: usize,
-    /// The value representation the phases actually solved over
-    /// ([`Representation::Dense`] under [`Scheduler::Fifo`]).
-    pub representation: Representation,
     /// Worker threads the per-routine front-end stages (CFG build,
     /// `DEF`/`UBD` initialization, PSG build) ran with.
     pub front_end_workers: usize,
-    /// Worker threads the scheduled dataflow phases ran with (clamped to
-    /// the widest condensation wave; `1` under [`Scheduler::Fifo`]).
-    pub phase_workers: usize,
     /// Condensation waves of the SCC-wave schedule — the sequential
     /// depth of the two-level solver (`0` under [`Scheduler::Fifo`]).
     pub waves: usize,
@@ -325,77 +283,7 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
     let mut psg = build_psg(program, &cfg, options, workers);
     let psg_build = t.elapsed();
 
-    let t = Instant::now();
-    let representation = match options.scheduler {
-        Scheduler::SccWave => options.representation,
-        Scheduler::Fifo => Representation::Dense,
-    };
-    let (phase1_visits, phase2_visits, waves, phase_workers, phase1, phase2) = match options
-        .scheduler
-    {
-        Scheduler::SccWave => {
-            // Schedule construction (call graph, condensation,
-            // partition, ranks) is charged to phase 1, mirroring the
-            // FIFO path's seed-order construction — and so is sparse
-            // chain construction when it is selected.
-            let schedule = SccSchedule::build(program, &cfg, &psg);
-            let phase_workers =
-                resolve_threads(options.threads).clamp(1, schedule.max_wave_width().max(1));
-            match representation {
-                Representation::Sparse => {
-                    let sparse = SparseProgram::build(&psg, &schedule, &cfg);
-                    let phase1_visits =
-                        run_phase1_sparse(&mut psg, &schedule, &sparse, None, phase_workers);
-                    let phase1 = t.elapsed();
-                    let t = Instant::now();
-                    let exit_seeds = exported_exit_seeds(program, &psg, options);
-                    let phase2_visits = run_phase2_sparse(
-                        &mut psg,
-                        &schedule,
-                        &sparse,
-                        &exit_seeds,
-                        None,
-                        phase_workers,
-                    );
-                    (
-                        phase1_visits,
-                        phase2_visits,
-                        schedule.waves(),
-                        phase_workers,
-                        phase1,
-                        t.elapsed(),
-                    )
-                }
-                Representation::Dense => {
-                    let phase1_visits =
-                        run_phase1_scheduled(&mut psg, &schedule, None, phase_workers);
-                    let phase1 = t.elapsed();
-                    let t = Instant::now();
-                    let exit_seeds = exported_exit_seeds(program, &psg, options);
-                    let phase2_visits =
-                        run_phase2_scheduled(&mut psg, &schedule, &exit_seeds, None, phase_workers);
-                    (
-                        phase1_visits,
-                        phase2_visits,
-                        schedule.waves(),
-                        phase_workers,
-                        phase1,
-                        t.elapsed(),
-                    )
-                }
-            }
-        }
-        Scheduler::Fifo => {
-            let seed_order = phase1_seed_order(program, &cfg, &psg);
-            let phase1_visits = run_phase1(&mut psg, &seed_order);
-            let phase1 = t.elapsed();
-            let t = Instant::now();
-            let exit_seeds = exported_exit_seeds(program, &psg, options);
-            let phase2_visits = run_phase2(&mut psg, &exit_seeds);
-            (phase1_visits, phase2_visits, 0, 1, phase1, t.elapsed())
-        }
-    };
-
+    let phases = solve_phases(program, &cfg, &mut psg, options, None);
     let summary = ProgramSummary::from_psg(&psg, options.calling_standard);
 
     let t = Instant::now();
@@ -405,20 +293,21 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
     let memory_bytes =
         cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes() + stack.heap_bytes();
 
-    // Debug builds cross-check every sparse solve against the dense
-    // oracle: the converged PSG, the summaries and the deterministic
-    // memory footprint must be bit-identical.
+    // Debug builds cross-check every scheduled solve against the FIFO
+    // oracle (the paper's Figures 8 and 10 taken literally): the
+    // converged PSG, the summaries and the deterministic memory
+    // footprint must be bit-identical.
     #[cfg(debug_assertions)]
-    if representation == Representation::Sparse {
-        let dense = analyze_with(
+    if options.scheduler == Scheduler::SccWave {
+        let fifo = analyze_with(
             program,
-            &AnalysisOptions { representation: Representation::Dense, ..options.clone() },
+            &AnalysisOptions { scheduler: Scheduler::Fifo, ..options.clone() },
         );
-        debug_assert!(psg == dense.psg, "sparse PSG diverged from the dense oracle");
-        debug_assert!(summary == dense.summary, "sparse summaries diverged from the dense oracle");
+        debug_assert!(psg == fifo.psg, "scheduled PSG diverged from the FIFO oracle");
+        debug_assert!(summary == fifo.summary, "scheduled summaries diverged from the FIFO oracle");
         debug_assert_eq!(
-            memory_bytes, dense.stats.memory_bytes,
-            "sparse memory footprint diverged from the dense oracle"
+            memory_bytes, fifo.stats.memory_bytes,
+            "scheduled memory footprint diverged from the FIFO oracle"
         );
     }
 
@@ -432,21 +321,72 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
             cfg_build,
             init,
             psg_build,
-            phase1,
-            phase2,
+            phase1: phases.phase1,
+            phase2: phases.phase2,
             stack_build,
-            phase1_visits,
-            phase2_visits,
+            phase1_visits: phases.phase1_visits,
+            phase2_visits: phases.phase2_visits,
             stack_forward_visits: stack_stats.forward_visits,
             stack_backward_visits: stack_stats.backward_visits,
-            representation,
             front_end_workers: workers,
-            phase_workers,
-            waves,
+            waves: phases.waves,
             routines_reanalyzed: n_routines,
             routines_reused: 0,
             memory_bytes,
         },
+    }
+}
+
+/// Effort and wall time of one phase 1 + phase 2 solve.
+pub(crate) struct PhaseRun {
+    pub(crate) phase1_visits: usize,
+    pub(crate) phase2_visits: usize,
+    pub(crate) waves: usize,
+    pub(crate) phase1: Duration,
+    pub(crate) phase2: Duration,
+}
+
+/// Runs phases 1–2 over `psg` with the configured [`Scheduler`]. With
+/// `resets` (the incremental phase-1 and phase-2 reset masks) only the
+/// reset nodes are reinitialized and solved; clean nodes keep their
+/// converged values.
+pub(crate) fn solve_phases(
+    program: &Program,
+    cfg: &ProgramCfg,
+    psg: &mut Psg,
+    options: &AnalysisOptions,
+    resets: Option<(&[bool], &[bool])>,
+) -> PhaseRun {
+    let (reset1, reset2) = resets.unzip();
+    let t = Instant::now();
+    match options.scheduler {
+        Scheduler::SccWave => {
+            // Schedule construction (call graph, condensation, partition,
+            // ranks) is charged to phase 1, mirroring the FIFO path's
+            // seed-order construction. A seeded run schedules exactly the
+            // components containing reset nodes (the reset closures are
+            // SCC-saturated).
+            let schedule = SccSchedule::build(program, cfg, psg);
+            let phase1_visits = run_phase1_scheduled(psg, &schedule, reset1);
+            let phase1 = t.elapsed();
+            let t = Instant::now();
+            let exit_seeds = exported_exit_seeds(program, psg, options);
+            let phase2_visits = run_phase2_scheduled(psg, &schedule, &exit_seeds, reset2);
+            let waves = schedule.waves();
+            PhaseRun { phase1_visits, phase2_visits, waves, phase1, phase2: t.elapsed() }
+        }
+        Scheduler::Fifo => {
+            let mut seed_order = phase1_seed_order(program, cfg, psg);
+            if let Some(mask) = reset1 {
+                seed_order.retain(|n| mask[n.index()]);
+            }
+            let phase1_visits = run_phase1_seeded(psg, &seed_order, reset1);
+            let phase1 = t.elapsed();
+            let t = Instant::now();
+            let exit_seeds = exported_exit_seeds(program, psg, options);
+            let phase2_visits = run_phase2_seeded(psg, &exit_seeds, reset2);
+            PhaseRun { phase1_visits, phase2_visits, waves: 0, phase1, phase2: t.elapsed() }
+        }
     }
 }
 

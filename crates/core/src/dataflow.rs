@@ -70,13 +70,9 @@ pub(crate) fn phase2_init_value(kind: NodeKind, uj_live: RegSet) -> RegSet {
 /// grouped by routine in bottom-up call-graph order (callees before
 /// callers), which lets most call-return edges receive their final labels
 /// on the first visit.
-pub(crate) fn run_phase1(psg: &mut Psg, seed_order: &[NodeId]) -> usize {
-    run_phase1_seeded(psg, seed_order, None)
-}
-
-/// Phase 1 with an optional *reset mask* for incremental re-analysis.
 ///
-/// With `reset: None` this is a from-scratch run: every node is
+/// An optional *reset mask* serves incremental re-analysis. With
+/// `reset: None` this is a from-scratch run: every node is
 /// (re)initialized and `seed_order` must cover every node. With a mask,
 /// only nodes with `reset[i]` are reinitialized — together with the
 /// call-return edges fed by reset entry nodes — while every other node
@@ -269,13 +265,9 @@ fn recompute_cr_uses(psg: &mut Psg, e: crate::psg::EdgeId) -> bool {
 /// nodes of externally callable routines (exported routines and the
 /// program entry, whose unseen callers are assumed to follow the calling
 /// standard). Returns the number of node evaluations.
-pub(crate) fn run_phase2(psg: &mut Psg, exit_seeds: &[(NodeId, RegSet)]) -> usize {
-    run_phase2_seeded(psg, exit_seeds, None)
-}
-
-/// Phase 2 with an optional *reset mask* for incremental re-analysis.
 ///
-/// With `reset: None` this is a from-scratch run. With a mask, only nodes
+/// An optional *reset mask* serves incremental re-analysis. With
+/// `reset: None` this is a from-scratch run. With a mask, only nodes
 /// with `reset[i]` are reinitialized and seeded; clean nodes keep their
 /// converged liveness. The mask is callee-closed (a reset return node's
 /// broadcast only ever reaches reset exits), and the return→exit

@@ -44,6 +44,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod analysis;
 mod build;
 mod callee_saved;
@@ -58,14 +60,12 @@ mod psg;
 mod query;
 mod schedule;
 mod snap;
-mod sparse;
 mod stack;
 mod summary;
 pub mod worklist;
 
 pub use analysis::{
-    analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, LoopStats, Representation,
-    Scheduler,
+    analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, LoopStats, Scheduler,
 };
 pub use callee_saved::saved_restored_registers;
 pub use fas::GreedyFas;

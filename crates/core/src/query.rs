@@ -34,7 +34,7 @@
 //! least fixpoint of a monotone system is unique — so query answers
 //! are bit-identical to the corresponding slice of
 //! [`crate::analyze_with`]'s solution (property-tested against the
-//! dense engine in `tests/prop_query.rs`). For the same reason a fully
+//! whole-program solve in `tests/prop_query.rs`). For the same reason a fully
 //! drained engine promotes into a whole-program [`Analysis`] via
 //! [`QueryEngine::into_analysis`], which is how
 //! [`AnalysisCache::reanalyze`](crate::AnalysisCache::reanalyze)
@@ -48,9 +48,7 @@ use spike_cfg::{ProgramCfg, RoutineCfg};
 use spike_isa::{CallingStandard, CloneExact, HeapSize, RegSet};
 use spike_program::{Program, RoutineId};
 
-use crate::analysis::{
-    exported_exit_seeds, Analysis, AnalysisOptions, AnalysisStats, Representation,
-};
+use crate::analysis::{exported_exit_seeds, Analysis, AnalysisOptions, AnalysisStats};
 use crate::build::build_psg;
 use crate::parallel::{par_for_each_mut, par_map, resolve_threads};
 use crate::psg::{NodeId, Psg};
@@ -369,13 +367,7 @@ impl QueryEngine {
                 phase2_visits: self.phase2_visits,
                 stack_forward_visits: self.stack_stats.forward_visits,
                 stack_backward_visits: self.stack_stats.backward_visits,
-                // The demand engine iterates the dense per-node sets,
-                // whatever the options say (see DESIGN.md: demand cones
-                // re-solve components piecemeal, which the warm-start
-                // contract of the chain solvers does not cover).
-                representation: Representation::Dense,
                 front_end_workers: self.front_end_workers,
-                phase_workers: 1,
                 waves: self.schedule.waves(),
                 routines_reanalyzed: n_routines,
                 routines_reused: 0,

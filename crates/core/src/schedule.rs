@@ -17,11 +17,6 @@
 //!    top-down waves (callers first). When a component is scheduled,
 //!    every component it reads across the boundary has *converged*: its
 //!    values are final, so freezing them is not an approximation.
-//!    Components inside one wave have no call edges between them (an
-//!    edge always separates wave levels) and each writes only its own
-//!    nodes' values and its own routines' edge labels, so a wave's
-//!    components solve in parallel on the [`crate::parallel`] pool with
-//!    bit-identical results at any worker count.
 //! 2. **Routine-level priority worklists.** Within a component, the
 //!    unit of scheduling is the *routine*, popped callees-first in
 //!    phase 1 and callers-first in phase 2 from a [`PriorityWorklist`]. A
@@ -43,11 +38,10 @@
 //!
 //! Cross-component inputs arrive through the same pull, reading values
 //! frozen by earlier waves. Every write stays inside the owning
-//! component — the invariant that makes the wave parallelism race-free
-//! — and the whole discipline is exact because the least fixpoint of a
-//! monotone system is unique: any schedule that evaluates until nothing
-//! changes produces the same solution the chaotic FIFO reference does,
-//! down to the bit.
+//! component, and the whole discipline is exact because the least
+//! fixpoint of a monotone system is unique: any schedule that evaluates
+//! until nothing changes produces the same solution the chaotic FIFO
+//! reference does, down to the bit.
 //!
 //! Incremental runs compose naturally: the reset closures of
 //! [`crate::incremental`] are caller-/callee-closed, hence saturated on
@@ -61,7 +55,6 @@ use spike_program::{Program, RoutineId};
 
 use crate::dataflow::{phase1_init_value, phase2_init_value};
 use crate::fas::GreedyFas;
-use crate::parallel::{par_map_with_pool, SharedMut};
 use crate::psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, RoutineNodes};
 use crate::worklist::PriorityWorklist;
 
@@ -74,26 +67,26 @@ use crate::worklist::PriorityWorklist;
 /// accounting is identical under both schedulers.
 #[derive(Clone)]
 pub(crate) struct SccSchedule {
-    pub(crate) cond: Condensation,
+    cond: Condensation,
     /// Per component: the PSG nodes its routines own, ascending.
-    pub(crate) comp_nodes: Vec<Vec<NodeId>>,
+    comp_nodes: Vec<Vec<NodeId>>,
     /// Per node: the owning component.
-    pub(crate) comp_of: Vec<u32>,
+    comp_of: Vec<u32>,
     /// Per routine: the owning component.
-    pub(crate) comp_of_routine: Vec<u32>,
+    comp_of_routine: Vec<u32>,
     /// Per routine: every PSG node it owns, ascending.
-    pub(crate) routine_nodes: Vec<Vec<NodeId>>,
+    routine_nodes: Vec<Vec<NodeId>>,
     /// Per routine: the known-target call-return edges it owns (the
     /// edges whose labels its phase-1 pull recomputes).
-    pub(crate) routine_cr_edges: Vec<Vec<EdgeId>>,
+    routine_cr_edges: Vec<Vec<EdgeId>>,
     /// Per routine: phase-1 priority — its position in the bottom-up
     /// SCC order, so callees pop before their callers.
-    pub(crate) rrank1: Vec<u32>,
+    rrank1: Vec<u32>,
     /// Per routine: phase-2 priority — the reverse, callers first.
-    pub(crate) rrank2: Vec<u32>,
+    rrank2: Vec<u32>,
     /// Per node: intra-routine priority — descending creation order, so
     /// sinks pop first and every sweep follows the backward flow.
-    pub(crate) node_rank: Vec<u32>,
+    node_rank: Vec<u32>,
     /// Per node: one forward flow-summary out-edge (its target ranks
     /// below the node), or `u32::MAX`. Phase 1 seeds the node's values
     /// along this edge before solving: a single tree path's `MAY` union
@@ -102,11 +95,11 @@ pub(crate) struct SccSchedule {
     /// safe starting point on both lattices — and it hands loop
     /// back-edge readers a near-final value up front instead of the
     /// neutral `(∅, ALL)` that forces a second visit of every cycle.
-    pub(crate) tree_edge: Vec<u32>,
+    tree_edge: Vec<u32>,
     /// Per node: the return nodes broadcasting phase-2 liveness into it
     /// (inverse of `return_exit_targets`; non-empty only for exits of
     /// called routines).
-    pub(crate) exit_sources: Vec<Vec<NodeId>>,
+    exit_sources: Vec<Vec<NodeId>>,
 }
 
 impl SccSchedule {
@@ -266,18 +259,12 @@ impl SccSchedule {
         self.cond.waves()
     }
 
-    /// The widest wave: the cross-component parallelism available to one
-    /// wave's solvers.
-    pub(crate) fn max_wave_width(&self) -> usize {
-        self.cond.max_wave_width()
-    }
-
     /// Which components a run must solve: all of them from scratch, or
     /// exactly the components containing reset nodes for a seeded run.
     /// The incremental reset closures are caller-/callee-closed and thus
     /// saturated on whole SCCs (debug-asserted here), which is what
     /// makes "schedule only the reset components" exact.
-    pub(crate) fn active_components(&self, reset: Option<&[bool]>) -> Vec<bool> {
+    fn active_components(&self, reset: Option<&[bool]>) -> Vec<bool> {
         let Some(mask) = reset else {
             return vec![true; self.comp_nodes.len()];
         };
@@ -319,20 +306,20 @@ impl SccSchedule {
     }
 }
 
-/// Reusable per-worker scratch for the component solvers: the
+/// Reusable scratch for the component solvers: the
 /// routine-level and node-level worklists plus the per-routine
 /// "already seeded in this stratum" flags (a re-solved routine seeds
 /// only the nodes its pull actually changed).
 pub(crate) struct CompSolver {
-    pub(crate) routine_wl: PriorityWorklist,
-    pub(crate) node_wl: PriorityWorklist,
-    pub(crate) seeded: Vec<bool>,
+    routine_wl: PriorityWorklist,
+    node_wl: PriorityWorklist,
+    seeded: Vec<bool>,
     /// Back-edge pushes (a boundary change flowing to a routine ranked
     /// at or below the one being solved) park here until the current
     /// round drains, so one round's worth of changes is absorbed by a
     /// single re-solve instead of being chased a register at a time.
-    pub(crate) deferred: Vec<bool>,
-    pub(crate) deferred_list: Vec<u32>,
+    deferred: Vec<bool>,
+    deferred_list: Vec<u32>,
     /// The node-level twin of `deferred`: loop-carried pushes inside one
     /// routine solve park until the current sweep drains, batching each
     /// loop's wrap-around into one extra pass.
@@ -356,7 +343,7 @@ impl CompSolver {
     /// Queues the boundary-change push `target` (rank `rank`), deferring
     /// it to the next round when it does not run strictly after the
     /// routine currently being solved (rank `current`).
-    pub(crate) fn push_routine(&mut self, target: usize, rank: u32, current: u32) {
+    fn push_routine(&mut self, target: usize, rank: u32, current: u32) {
         if self.deferred[target] {
             return;
         }
@@ -371,7 +358,7 @@ impl CompSolver {
     /// Queues node `target` during a routine solve, deferring loop
     /// back-edge pushes (rank at or below the node being evaluated) to
     /// the sweep boundary.
-    pub(crate) fn push_node(&mut self, target: usize, rank: u32, current: u32) {
+    fn push_node(&mut self, target: usize, rank: u32, current: u32) {
         if self.node_deferred[target] {
             return;
         }
@@ -383,16 +370,9 @@ impl CompSolver {
         }
     }
 
-    /// Whether any node pushes are parked for the next sweep round —
-    /// pre-sweep pulls can park through [`CompSolver::push_node`], so a
-    /// solve must not bail on an empty worklist while these wait.
-    pub(crate) fn has_deferred_nodes(&self) -> bool {
-        !self.node_deferred_list.is_empty()
-    }
-
     /// Drains the parked loop-carried node pushes back into the node
     /// worklist; returns `false` when there were none (sweep converged).
-    pub(crate) fn flush_deferred_nodes(&mut self, node_rank: &[u32]) -> bool {
+    fn flush_deferred_nodes(&mut self, node_rank: &[u32]) -> bool {
         if self.node_deferred_list.is_empty() {
             return false;
         }
@@ -407,10 +387,8 @@ impl CompSolver {
     }
 }
 
-/// Shared views for the phase-1 wave solvers. The immutable topology is
-/// borrowed normally; the value arrays and edge labels go through
-/// [`SharedMut`] because components of one wave write disjoint parts of
-/// them concurrently.
+/// Split borrows of the PSG for the phase-1 component solvers: the
+/// immutable topology, plus the value arrays and edge labels they write.
 struct Phase1Views<'a> {
     nodes: &'a [NodeKind],
     out_edges: &'a [Vec<EdgeId>],
@@ -419,14 +397,14 @@ struct Phase1Views<'a> {
     cr_sources: &'a [Vec<NodeId>],
     entry_cr_edges: &'a [Vec<EdgeId>],
     pinned: &'a [bool],
-    edges: SharedMut<'a, Edge>,
-    may_use: SharedMut<'a, RegSet>,
-    may_def: SharedMut<'a, RegSet>,
-    must_def: SharedMut<'a, RegSet>,
+    edges: &'a mut [Edge],
+    may_use: &'a mut [RegSet],
+    may_def: &'a mut [RegSet],
+    must_def: &'a mut [RegSet],
 }
 
-/// Shared views for the phase-2 wave solvers. Edge labels are frozen in
-/// phase 2; only the liveness array is written.
+/// Split borrows of the PSG for the phase-2 component solvers. Edge
+/// labels are frozen in phase 2; only the liveness array is written.
 struct Phase2Views<'a> {
     nodes: &'a [NodeKind],
     out_edges: &'a [Vec<EdgeId>],
@@ -435,7 +413,7 @@ struct Phase2Views<'a> {
     return_exit_targets: &'a [Vec<NodeId>],
     pinned: &'a [bool],
     edges: &'a [Edge],
-    live: SharedMut<'a, RegSet>,
+    live: &'a mut [RegSet],
 }
 
 /// Scheduled phase 1 (§3.2): bottom-up waves over the condensation,
@@ -447,7 +425,6 @@ pub(crate) fn run_phase1_scheduled(
     psg: &mut Psg,
     schedule: &SccSchedule,
     reset: Option<&[bool]>,
-    workers: usize,
 ) -> usize {
     let n = psg.nodes().len();
     debug_assert!(reset.is_none_or(|m| m.len() == n), "reset mask must cover every node");
@@ -472,7 +449,7 @@ pub(crate) fn run_phase1_scheduled(
         ref mut must_def,
         ..
     } = *psg;
-    let views = Phase1Views {
+    let mut views = Phase1Views {
         nodes,
         out_edges,
         in_edges,
@@ -480,17 +457,13 @@ pub(crate) fn run_phase1_scheduled(
         cr_sources,
         entry_cr_edges,
         pinned,
-        edges: SharedMut::new(edges),
-        may_use: SharedMut::new(may_use),
-        may_def: SharedMut::new(may_def),
-        must_def: SharedMut::new(must_def),
+        edges,
+        may_use,
+        may_def,
+        must_def,
     };
-    run_waves(schedule.cond.waves_bottom_up(), &active, workers, schedule, n, |cs, c| {
-        // SAFETY: `run_waves` hands each in-flight component to exactly
-        // one worker, components of one wave are call-disjoint, and the
-        // solver touches only component-owned values/labels plus frozen
-        // earlier-wave values — the `SharedMut` aliasing contract.
-        unsafe { solve_comp_phase1(&views, schedule, c, cs) }
+    run_waves(schedule.cond.waves_bottom_up(), &active, schedule, n, |cs, c| {
+        solve_comp_phase1(&mut views, schedule, c, cs)
     })
 }
 
@@ -559,7 +532,7 @@ pub(crate) fn solve_phase1_components(
         ref mut must_def,
         ..
     } = *psg;
-    let views = Phase1Views {
+    let mut views = Phase1Views {
         nodes,
         out_edges,
         in_edges,
@@ -567,17 +540,14 @@ pub(crate) fn solve_phase1_components(
         cr_sources,
         entry_cr_edges,
         pinned,
-        edges: SharedMut::new(edges),
-        may_use: SharedMut::new(may_use),
-        may_def: SharedMut::new(may_def),
-        must_def: SharedMut::new(must_def),
+        edges,
+        may_use,
+        may_def,
+        must_def,
     };
     let mut visits = 0usize;
     for &c in comps {
-        // SAFETY: components solve one at a time with exclusive access
-        // to the whole PSG, so the `SharedMut` aliasing contract holds
-        // trivially.
-        visits += unsafe { solve_comp_phase1(&views, schedule, c, cs) };
+        visits += solve_comp_phase1(&mut views, schedule, c, cs);
     }
     visits
 }
@@ -629,7 +599,7 @@ pub(crate) fn solve_phase2_components(
         ref mut live,
         ..
     } = *psg;
-    let views = Phase2Views {
+    let mut views = Phase2Views {
         nodes,
         out_edges,
         in_edges,
@@ -637,13 +607,11 @@ pub(crate) fn solve_phase2_components(
         return_exit_targets,
         pinned,
         edges,
-        live: SharedMut::new(live),
+        live,
     };
     let mut visits = 0usize;
     for &c in comps {
-        // SAFETY: as in [`solve_phase1_components`] — strictly serial,
-        // exclusive access to the whole liveness array.
-        visits += unsafe { solve_comp_phase2(&views, schedule, c, cs) };
+        visits += solve_comp_phase2(&mut views, schedule, c, cs);
     }
     visits
 }
@@ -656,7 +624,6 @@ pub(crate) fn run_phase2_scheduled(
     schedule: &SccSchedule,
     exit_seeds: &[(NodeId, RegSet)],
     reset: Option<&[bool]>,
-    workers: usize,
 ) -> usize {
     let n = psg.nodes().len();
     debug_assert!(reset.is_none_or(|m| m.len() == n), "reset mask must cover every node");
@@ -693,7 +660,7 @@ pub(crate) fn run_phase2_scheduled(
         ref mut live,
         ..
     } = *psg;
-    let views = Phase2Views {
+    let mut views = Phase2Views {
         nodes,
         out_edges,
         in_edges,
@@ -701,54 +668,28 @@ pub(crate) fn run_phase2_scheduled(
         return_exit_targets,
         pinned,
         edges,
-        live: SharedMut::new(live),
+        live,
     };
-    run_waves(schedule.cond.waves_top_down(), &active, workers, schedule, n, |cs, c| {
-        // SAFETY: as in phase 1 — one worker per in-flight component,
-        // writes confined to the component's own liveness slots.
-        unsafe { solve_comp_phase2(&views, schedule, c, cs) }
+    run_waves(schedule.cond.waves_top_down(), &active, schedule, n, |cs, c| {
+        solve_comp_phase2(&mut views, schedule, c, cs)
     })
 }
 
-/// Drives `solve` over the scheduled waves: active components of one
-/// wave run concurrently (each on its own reusable [`CompSolver`]),
-/// waves run in order with a thread-join barrier between them.
-/// Single-component waves — the common case on deep call chains —
-/// reuse one persistent solver with no thread traffic at all. Returns
-/// total evaluations.
-pub(crate) fn run_waves(
+/// Drives `solve` over the scheduled waves in order, skipping inactive
+/// components. One [`CompSolver`] serves the whole phase: its worklist
+/// heaps, dedup buffers and deferral scratch are allocated once and
+/// reused by every component (a solver drains itself back to empty
+/// after each component, so reuse cannot leak state between solves).
+/// Returns total evaluations.
+fn run_waves(
     waves: &[Vec<usize>],
     active: &[bool],
-    workers: usize,
     schedule: &SccSchedule,
     n_nodes: usize,
-    solve: impl Fn(&mut CompSolver, usize) -> usize + Sync,
+    mut solve: impl FnMut(&mut CompSolver, usize) -> usize,
 ) -> usize {
-    let n_routines = schedule.routine_nodes.len();
-    let mut visits = 0usize;
-    // One solver pool for the whole phase: the worklist heaps, dedup
-    // buffers and deferral scratch are allocated once and reused by
-    // every wave (a solver drains itself back to empty after each
-    // component, so reuse cannot leak state between solves). Serial
-    // waves run on slot 0; parallel waves grow the pool to the worker
-    // count on first use.
-    let mut pool = vec![CompSolver::new(n_routines, n_nodes)];
-    for wave in waves {
-        let batch: Vec<usize> = wave.iter().copied().filter(|&c| active[c]).collect();
-        if batch.len() <= 1 || workers == 1 {
-            for &c in &batch {
-                visits += solve(&mut pool[0], c);
-            }
-        } else {
-            while pool.len() < workers.min(batch.len()) {
-                pool.push(CompSolver::new(n_routines, n_nodes));
-            }
-            visits += par_map_with_pool(&mut pool, batch.len(), |cs, k| solve(cs, batch[k]))
-                .into_iter()
-                .sum::<usize>();
-        }
-    }
-    visits
+    let mut cs = CompSolver::new(schedule.routine_nodes.len(), n_nodes);
+    waves.iter().flatten().filter(|&&c| active[c]).map(|&c| solve(&mut cs, c)).sum()
 }
 
 /// Solves phase 1 for component `c` to its local fixpoint: stratum A
@@ -756,15 +697,8 @@ pub(crate) fn run_waves(
 /// (`MAY-USE` against the frozen kill sets) the same way — valid per
 /// component because every cross-component input of both strata
 /// converged in an earlier wave.
-///
-/// # Safety
-/// The caller must guarantee exclusive access to component `c`'s node
-/// values and to the edges owned by `c`'s routines, and that every
-/// other component this reads (broadcast sources, foreign edge
-/// endpoints) is not being written concurrently. The wave schedule
-/// provides both.
-unsafe fn solve_comp_phase1(
-    v: &Phase1Views<'_>,
+fn solve_comp_phase1(
+    v: &mut Phase1Views<'_>,
     s: &SccSchedule,
     c: usize,
     cs: &mut CompSolver,
@@ -813,11 +747,8 @@ enum Stratum {
 /// The first solve seeds every node; a re-solve seeds only the call
 /// nodes whose pulled labels changed, so convergence is detected
 /// without evaluating anything.
-///
-/// # Safety
-/// As [`solve_comp_phase1`].
-unsafe fn solve_routine_phase1(
-    v: &Phase1Views<'_>,
+fn solve_routine_phase1(
+    v: &mut Phase1Views<'_>,
     s: &SccSchedule,
     c: usize,
     r: usize,
@@ -834,9 +765,8 @@ unsafe fn solve_routine_phase1(
             Stratum::Defs => {
                 let (grown, lost) = recompute_cr_defs_view(v, e);
                 if !first {
-                    let owner = v.edges.get(e.index()).from().index();
-                    if !grown.is_subset(*v.may_def.get(owner))
-                        || !(lost & *v.must_def.get(owner)).is_empty()
+                    let owner = v.edges[e.index()].from().index();
+                    if !grown.is_subset(v.may_def[owner]) || !(lost & v.must_def[owner]).is_empty()
                     {
                         cs.node_wl.push(owner, s.node_rank[owner]);
                     }
@@ -845,8 +775,8 @@ unsafe fn solve_routine_phase1(
             Stratum::Uses => {
                 let grown = recompute_cr_uses_view(v, e);
                 if !first {
-                    let owner = v.edges.get(e.index()).from().index();
-                    if !grown.is_subset(*v.may_use.get(owner)) {
+                    let owner = v.edges[e.index()].from().index();
+                    if !grown.is_subset(v.may_use[owner]) {
                         cs.node_wl.push(owner, s.node_rank[owner]);
                     }
                 }
@@ -868,8 +798,8 @@ unsafe fn solve_routine_phase1(
         .entries()
         .iter()
         .map(|&x| match stratum {
-            Stratum::Defs => (*v.may_def.get(x.index()), *v.must_def.get(x.index())),
-            Stratum::Uses => (*v.may_use.get(x.index()), RegSet::EMPTY),
+            Stratum::Defs => (v.may_def[x.index()], v.must_def[x.index()]),
+            Stratum::Uses => (v.may_use[x.index()], RegSet::EMPTY),
         })
         .collect();
 
@@ -889,10 +819,10 @@ unsafe fn solve_routine_phase1(
                     let mut must_def = RegSet::EMPTY;
                     let mut first_edge = true;
                     for &e in &v.out_edges[xi] {
-                        let edge = v.edges.get(e.index());
+                        let edge = &v.edges[e.index()];
                         let yi = edge.to().index();
-                        may_def |= edge.may_def() | *v.may_def.get(yi);
-                        let md = edge.must_def() | *v.must_def.get(yi);
+                        may_def |= edge.may_def() | v.may_def[yi];
+                        let md = edge.must_def() | v.must_def[yi];
                         if first_edge {
                             must_def = md;
                             first_edge = false;
@@ -901,28 +831,27 @@ unsafe fn solve_routine_phase1(
                         }
                     }
                     debug_assert!(
-                        v.may_def.get(xi).is_subset(may_def)
-                            && must_def.is_subset(*v.must_def.get(xi)),
+                        v.may_def[xi].is_subset(may_def) && must_def.is_subset(v.must_def[xi]),
                         "stratum A: MAY-DEF grows, MUST-DEF shrinks"
                     );
-                    let delta = (may_def - *v.may_def.get(xi), *v.must_def.get(xi) - must_def);
-                    *v.may_def.get_mut(xi) = may_def;
-                    *v.must_def.get_mut(xi) = must_def;
+                    let delta = (may_def - v.may_def[xi], v.must_def[xi] - must_def);
+                    v.may_def[xi] = may_def;
+                    v.must_def[xi] = must_def;
                     delta
                 }
                 Stratum::Uses => {
                     let mut may_use = RegSet::EMPTY;
                     for &e in &v.out_edges[xi] {
-                        let edge = v.edges.get(e.index());
+                        let edge = &v.edges[e.index()];
                         may_use |=
-                            edge.may_use() | (*v.may_use.get(edge.to().index()) - edge.must_def());
+                            edge.may_use() | (v.may_use[edge.to().index()] - edge.must_def());
                     }
                     debug_assert!(
-                        v.may_use.get(xi).is_subset(may_use),
+                        v.may_use[xi].is_subset(may_use),
                         "stratum B values must grow monotonically"
                     );
-                    let delta = (may_use - *v.may_use.get(xi), RegSet::EMPTY);
-                    *v.may_use.get_mut(xi) = may_use;
+                    let delta = (may_use - v.may_use[xi], RegSet::EMPTY);
+                    v.may_use[xi] = may_use;
                     delta
                 }
             };
@@ -931,7 +860,7 @@ unsafe fn solve_routine_phase1(
             }
 
             for &e in &v.in_edges[xi] {
-                let edge = v.edges.get(e.index());
+                let edge = &v.edges[e.index()];
                 let f = edge.from().index();
                 // Through edge `e` the reader sees `label | value` (defs) or
                 // `label | (value - kill)` (uses): mask the delta down to
@@ -939,11 +868,11 @@ unsafe fn solve_routine_phase1(
                 // value already absorbs it.
                 let moved = match stratum {
                     Stratum::Defs => {
-                        !(grown - edge.may_def()).is_subset(*v.may_def.get(f))
-                            || !((lost - edge.must_def()) & *v.must_def.get(f)).is_empty()
+                        !(grown - edge.may_def()).is_subset(v.may_def[f])
+                            || !((lost - edge.must_def()) & v.must_def[f]).is_empty()
                     }
                     Stratum::Uses => {
-                        !((grown - edge.must_def()) - edge.may_use()).is_subset(*v.may_use.get(f))
+                        !((grown - edge.must_def()) - edge.may_use()).is_subset(v.may_use[f])
                     }
                 };
                 if moved {
@@ -955,22 +884,21 @@ unsafe fn solve_routine_phase1(
             // routine settles.
             if matches!(v.nodes[xi], NodeKind::Entry { .. }) {
                 for &e in &v.entry_cr_edges[xi] {
-                    let owner = v.edges.get(e.index()).from().index();
+                    let owner = v.edges[e.index()].from().index();
                     if v.nodes[owner].routine().index() != r {
                         continue;
                     }
                     match stratum {
                         Stratum::Defs => {
                             let (g, l) = recompute_cr_defs_view(v, e);
-                            if !g.is_subset(*v.may_def.get(owner))
-                                || !(l & *v.must_def.get(owner)).is_empty()
+                            if !g.is_subset(v.may_def[owner]) || !(l & v.must_def[owner]).is_empty()
                             {
                                 cs.push_node(owner, s.node_rank[owner], s.node_rank[xi]);
                             }
                         }
                         Stratum::Uses => {
                             let g = recompute_cr_uses_view(v, e);
-                            if !g.is_subset(*v.may_use.get(owner)) {
+                            if !g.is_subset(v.may_use[owner]) {
                                 cs.push_node(owner, s.node_rank[owner], s.node_rank[xi]);
                             }
                         }
@@ -989,14 +917,14 @@ unsafe fn solve_routine_phase1(
     for (k, &x) in rn.entries().iter().enumerate() {
         let xi = x.index();
         let now = match stratum {
-            Stratum::Defs => (*v.may_def.get(xi), *v.must_def.get(xi)),
-            Stratum::Uses => (*v.may_use.get(xi), RegSet::EMPTY),
+            Stratum::Defs => (v.may_def[xi], v.must_def[xi]),
+            Stratum::Uses => (v.may_use[xi], RegSet::EMPTY),
         };
         if now == snapshot[k] {
             continue;
         }
         for &e in &v.entry_cr_edges[xi] {
-            let owner = v.edges.get(e.index()).from().index();
+            let owner = v.edges[e.index()].from().index();
             let or = v.nodes[owner].routine().index();
             if or != r && s.comp_of_routine[or] as usize == c {
                 cs.push_routine(or, s.rrank1[or], s.rrank1[r]);
@@ -1008,12 +936,8 @@ unsafe fn solve_routine_phase1(
 
 /// Solves phase 2 for component `c` to its local fixpoint over a
 /// routine-level worklist, callers first.
-///
-/// # Safety
-/// As [`solve_comp_phase1`]: exclusive access to component `c`'s
-/// liveness slots; everything read across the boundary is frozen.
-unsafe fn solve_comp_phase2(
-    v: &Phase2Views<'_>,
+fn solve_comp_phase2(
+    v: &mut Phase2Views<'_>,
     s: &SccSchedule,
     c: usize,
     cs: &mut CompSolver,
@@ -1049,11 +973,8 @@ unsafe fn solve_comp_phase2(
 /// solve's settled return-liveness changes feed (the batched §3.3
 /// broadcast). Seeding follows the phase-1 discipline: everything on
 /// the first solve, only changed exits' readers on a re-solve.
-///
-/// # Safety
-/// As [`solve_comp_phase2`].
-unsafe fn solve_routine_phase2(
-    v: &Phase2Views<'_>,
+fn solve_routine_phase2(
+    v: &mut Phase2Views<'_>,
     s: &SccSchedule,
     c: usize,
     r: usize,
@@ -1066,27 +987,27 @@ unsafe fn solve_routine_phase2(
         let xi = x.index();
         let mut grown = RegSet::EMPTY;
         if !s.exit_sources[xi].is_empty() {
-            let mut merged = *v.live.get(xi);
+            let mut merged = v.live[xi];
             for &ret in &s.exit_sources[xi] {
-                merged |= *v.live.get(ret.index());
+                merged |= v.live[ret.index()];
             }
-            grown = merged - *v.live.get(xi);
+            grown = merged - v.live[xi];
             if !grown.is_empty() {
-                *v.live.get_mut(xi) = merged;
+                v.live[xi] = merged;
             }
         }
         // Under the warm (`MAY-USE` fixpoint) start everything but the
         // exits is already quiescent, so the first solve seeds only the
         // readers of whatever its exits hold — seeds plus pull — and a
         // re-solve only the readers of the pull's growth.
-        let delta = if first { *v.live.get(xi) } else { grown };
+        let delta = if first { v.live[xi] } else { grown };
         if delta.is_empty() {
             continue;
         }
         for &e in &v.in_edges[xi] {
             let edge = &v.edges[e.index()];
             let f = edge.from().index();
-            if !((delta - edge.must_def()) - edge.may_use()).is_subset(*v.live.get(f)) {
+            if !((delta - edge.must_def()) - edge.may_use()).is_subset(v.live[f]) {
                 cs.node_wl.push(f, s.node_rank[f]);
             }
         }
@@ -1095,8 +1016,7 @@ unsafe fn solve_routine_phase2(
         return 0;
     }
 
-    let snapshot: Vec<RegSet> =
-        rn.calls().iter().map(|&(_, _, ret)| *v.live.get(ret.index())).collect();
+    let snapshot: Vec<RegSet> = rn.calls().iter().map(|&(_, _, ret)| v.live[ret.index()]).collect();
 
     let mut visits = 0usize;
     'sweep: loop {
@@ -1108,23 +1028,23 @@ unsafe fn solve_routine_phase2(
             }
             visits += 1;
 
-            let mut live = *v.live.get(xi);
+            let mut live = v.live[xi];
             for &e in &v.out_edges[xi] {
                 let edge = &v.edges[e.index()];
-                live |= edge.may_use() | (*v.live.get(edge.to().index()) - edge.must_def());
+                live |= edge.may_use() | (v.live[edge.to().index()] - edge.must_def());
             }
-            let grown = live - *v.live.get(xi);
+            let grown = live - v.live[xi];
             if grown.is_empty() {
                 continue;
             }
-            *v.live.get_mut(xi) = live;
+            v.live[xi] = live;
 
             for &e in &v.in_edges[xi] {
                 let edge = &v.edges[e.index()];
                 let f = edge.from().index();
                 // Skip readers whose liveness already absorbs what survives
                 // the edge label.
-                if !((grown - edge.must_def()) - edge.may_use()).is_subset(*v.live.get(f)) {
+                if !((grown - edge.must_def()) - edge.may_use()).is_subset(v.live[f]) {
                     cs.push_node(f, s.node_rank[f], s.node_rank[xi]);
                 }
             }
@@ -1136,14 +1056,13 @@ unsafe fn solve_routine_phase2(
                 if v.nodes[ti].routine().index() != r {
                     continue;
                 }
-                let egrown = grown - *v.live.get(ti);
+                let egrown = grown - v.live[ti];
                 if !egrown.is_empty() {
-                    *v.live.get_mut(ti) = *v.live.get(ti) | grown;
+                    v.live[ti] |= grown;
                     for &e in &v.in_edges[ti] {
                         let edge = &v.edges[e.index()];
                         let f = edge.from().index();
-                        if !((egrown - edge.must_def()) - edge.may_use()).is_subset(*v.live.get(f))
-                        {
+                        if !((egrown - edge.must_def()) - edge.may_use()).is_subset(v.live[f]) {
                             cs.push_node(f, s.node_rank[f], s.node_rank[xi]);
                         }
                     }
@@ -1159,7 +1078,7 @@ unsafe fn solve_routine_phase2(
     // return-liveness change. Cross-component callees pull when their
     // own wave runs.
     for (k, &(_, _, ret)) in rn.calls().iter().enumerate() {
-        if *v.live.get(ret.index()) == snapshot[k] {
+        if v.live[ret.index()] == snapshot[k] {
             continue;
         }
         for &t in &v.return_exit_targets[ret.index()] {
@@ -1176,11 +1095,7 @@ unsafe fn solve_routine_phase2(
 /// entries; the shared-view twin of `dataflow::recompute_cr_defs`.
 /// Returns the delta: the `MAY-DEF` bits the label gained and the
 /// `MUST-DEF` bits it lost (both empty iff the label is unchanged).
-///
-/// # Safety
-/// Exclusive access to edge `e`; no source entry's values may be
-/// written concurrently.
-unsafe fn recompute_cr_defs_view(v: &Phase1Views<'_>, e: EdgeId) -> (RegSet, RegSet) {
+fn recompute_cr_defs_view(v: &mut Phase1Views<'_>, e: EdgeId) -> (RegSet, RegSet) {
     let sources = &v.cr_sources[e.index()];
     debug_assert!(!sources.is_empty(), "only known-target edges are recomputed");
     let mut may_def = RegSet::EMPTY;
@@ -1189,8 +1104,8 @@ unsafe fn recompute_cr_defs_view(v: &Phase1Views<'_>, e: EdgeId) -> (RegSet, Reg
     for &s in sources {
         let si = s.index();
         let csr = v.routines[v.nodes[si].routine().index()].saved_restored;
-        may_def |= *v.may_def.get(si) - csr;
-        let md = *v.must_def.get(si) - csr;
+        may_def |= v.may_def[si] - csr;
+        let md = v.must_def[si] - csr;
         if first {
             must_def = md;
             first = false;
@@ -1198,7 +1113,7 @@ unsafe fn recompute_cr_defs_view(v: &Phase1Views<'_>, e: EdgeId) -> (RegSet, Reg
             must_def &= md;
         }
     }
-    let edge = v.edges.get_mut(e.index());
+    let edge = &mut v.edges[e.index()];
     debug_assert_eq!(edge.kind(), EdgeKind::CallReturn);
     let delta = (may_def - edge.may_def, edge.must_def - must_def);
     edge.may_def = may_def;
@@ -1209,19 +1124,16 @@ unsafe fn recompute_cr_defs_view(v: &Phase1Views<'_>, e: EdgeId) -> (RegSet, Reg
 /// Recomputes a call-return edge's `MAY-USE` from its source entries;
 /// the shared-view twin of `dataflow::recompute_cr_uses`. Returns the
 /// bits the label gained (empty iff unchanged).
-///
-/// # Safety
-/// As [`recompute_cr_defs_view`].
-unsafe fn recompute_cr_uses_view(v: &Phase1Views<'_>, e: EdgeId) -> RegSet {
+fn recompute_cr_uses_view(v: &mut Phase1Views<'_>, e: EdgeId) -> RegSet {
     let sources = &v.cr_sources[e.index()];
     debug_assert!(!sources.is_empty(), "only known-target edges are recomputed");
     let mut may_use = RegSet::EMPTY;
     for &s in sources {
         let si = s.index();
         let csr = v.routines[v.nodes[si].routine().index()].saved_restored;
-        may_use |= *v.may_use.get(si) - csr;
+        may_use |= v.may_use[si] - csr;
     }
-    let edge = v.edges.get_mut(e.index());
+    let edge = &mut v.edges[e.index()];
     debug_assert_eq!(edge.kind(), EdgeKind::CallReturn);
     let grown = may_use - edge.may_use;
     edge.may_use = may_use;

@@ -17,7 +17,7 @@
 
 use spike_isa::{Snap, SnapError, SnapReader, SnapWriter};
 
-use crate::analysis::{Analysis, AnalysisOptions, AnalysisStats, Representation, Scheduler};
+use crate::analysis::{Analysis, AnalysisOptions, AnalysisStats, Scheduler};
 use crate::psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, RoutineNodes};
 use crate::stack::{FrameModel, RoutineStack, Slot, StackSummary};
 use crate::summary::RoutineSummary;
@@ -302,22 +302,6 @@ impl Snap for Scheduler {
     }
 }
 
-impl Snap for Representation {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Representation::Sparse => 0,
-            Representation::Dense => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(Representation::Sparse),
-            1 => Ok(Representation::Dense),
-            _ => Err(SnapError::Malformed("representation tag")),
-        }
-    }
-}
-
 impl Snap for AnalysisStats {
     fn snap(&self, w: &mut SnapWriter) {
         self.cfg_build.snap(w);
@@ -330,9 +314,7 @@ impl Snap for AnalysisStats {
         self.phase2_visits.snap(w);
         self.stack_forward_visits.snap(w);
         self.stack_backward_visits.snap(w);
-        self.representation.snap(w);
         self.front_end_workers.snap(w);
-        self.phase_workers.snap(w);
         self.waves.snap(w);
         self.routines_reanalyzed.snap(w);
         self.routines_reused.snap(w);
@@ -350,9 +332,7 @@ impl Snap for AnalysisStats {
             phase2_visits: Snap::unsnap(r)?,
             stack_forward_visits: Snap::unsnap(r)?,
             stack_backward_visits: Snap::unsnap(r)?,
-            representation: Snap::unsnap(r)?,
             front_end_workers: Snap::unsnap(r)?,
-            phase_workers: Snap::unsnap(r)?,
             waves: Snap::unsnap(r)?,
             routines_reanalyzed: Snap::unsnap(r)?,
             routines_reused: Snap::unsnap(r)?,
@@ -407,7 +387,6 @@ impl Snap for AnalysisOptions {
         self.exported_live_at_exit.snap(w);
         self.threads.snap(w);
         self.scheduler.snap(w);
-        self.representation.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(AnalysisOptions {
@@ -417,7 +396,6 @@ impl Snap for AnalysisOptions {
             exported_live_at_exit: Snap::unsnap(r)?,
             threads: Snap::unsnap(r)?,
             scheduler: Snap::unsnap(r)?,
-            representation: Snap::unsnap(r)?,
         })
     }
 }
@@ -431,9 +409,9 @@ impl Snap for AnalysisOptions {
 /// `threads` is deliberately excluded: results (including
 /// `memory_bytes`) are bit-identical at every worker count, so a
 /// snapshot from a 4-worker daemon is valid donor state for an
-/// 8-worker one. `scheduler`/`representation` are *included* because
-/// the effort counters inside the cached `AnalysisStats` depend on
-/// them, and stats flow into diag output.
+/// 8-worker one. `scheduler` is *included* because the effort counters
+/// inside the cached `AnalysisStats` depend on it, and stats flow into
+/// diag output.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let mut w = SnapWriter::new();
     AnalysisOptions { threads: 0, ..options.clone() }.snap(&mut w);
@@ -541,7 +519,7 @@ mod tests {
         );
         assert_ne!(
             fp,
-            options_fingerprint(&AnalysisOptions { representation: Representation::Dense, ..base })
+            options_fingerprint(&AnalysisOptions { scheduler: Scheduler::Fifo, ..base })
         );
     }
 }

@@ -269,13 +269,14 @@ fn collect_edits(
 /// Optimizes `program` with explicit pass selection.
 ///
 /// A small pass manager threads one [`AnalysisCache`] through the enabled
-/// passes (spills → reallocation → dead code; see [`Pass`] for why that
-/// order). Each pass reports the routines it edited, and by default only
-/// those — plus whatever their changes can influence — are re-analyzed
-/// before the next pass ([`OptOptions::incremental`]); a pass that finds
-/// nothing leaves the cached analysis untouched for its successor. With
-/// [`OptOptions::iterate`] the whole sequence loops until a round finds
-/// nothing to edit.
+/// passes in a fixed order: LICM → spills → reallocation → stack DSE →
+/// dead code, so each pass sees the shapes and freed registers its
+/// predecessors expose. Each pass reports the routines it edited, and by
+/// default only those — plus whatever their changes can influence — are
+/// re-analyzed before the next pass ([`OptOptions::incremental`]); a pass
+/// that finds nothing leaves the cached analysis untouched for its
+/// successor. With [`OptOptions::iterate`] the whole sequence loops until
+/// a round finds nothing to edit.
 ///
 /// The input program is not cloned until an edit actually lands: a run
 /// where every pass is disabled or finds nothing only pays for the final

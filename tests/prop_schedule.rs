@@ -5,19 +5,18 @@
 //! The scheduler is pure strategy: the least fixpoint of the monotone
 //! phase-1/phase-2 systems is unique, so every observable — summaries,
 //! the PSG values and labels, the deterministic `memory_bytes` — must be
-//! bit-identical whichever engine ran and however many workers the wave
-//! solver used. What the scheduler *is* allowed to change is effort, and
-//! only downward: these properties also pin the visit counts as never
-//! exceeding the FIFO engine's.
+//! bit-identical whichever engine ran and however many front-end
+//! workers built the PSG. What the scheduler *is* allowed to change is
+//! effort, and only downward: these properties also pin the visit
+//! counts as never exceeding the FIFO engine's.
 
 use proptest::prelude::*;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use spike::core::{
-    analyze_with, AnalysisCache, AnalysisOptions, GreedyFas, Representation, Scheduler,
-};
+use spike::baseline::analyze_baseline;
+use spike::core::{analyze_with, AnalysisCache, AnalysisOptions, GreedyFas, Scheduler};
 use spike::program::{Program, Rewriter};
 
 fn arb_program() -> impl Strategy<Value = Program> {
@@ -43,15 +42,6 @@ fn with(scheduler: Scheduler, threads: usize) -> AnalysisOptions {
     AnalysisOptions { scheduler, threads, ..AnalysisOptions::default() }
 }
 
-fn with_repr(representation: Representation, threads: usize) -> AnalysisOptions {
-    AnalysisOptions {
-        scheduler: Scheduler::SccWave,
-        threads,
-        representation,
-        ..AnalysisOptions::default()
-    }
-}
-
 /// Asserts every observable output of two analyses is bit-identical:
 /// per-routine summaries, the full PSG (values and labels), and the
 /// deterministic `memory_bytes`.
@@ -68,20 +58,35 @@ fn assert_identical(program: &Program, a: &spike::core::Analysis, b: &spike::cor
     assert_eq!(a.stats.memory_bytes, b.stats.memory_bytes);
 }
 
-/// The sparse chain engine is pure representation: on every one of the
-/// paper's 16 benchmark profiles it reaches exactly the dense engine's
-/// fixpoint, serial and wide.
+/// The two oracles pin the production engine on every one of the
+/// paper's 16 benchmark profiles, seeds 1–3: the SCC-wave engine, with
+/// one front-end worker and with eight, reaches exactly the FIFO
+/// engine's fixpoint and the full-CFG baseline's summaries, with the
+/// same effort at both worker counts.
 #[test]
-fn sparse_matches_dense_on_all_profiles() {
+fn scheduled_matches_fifo_on_all_profiles() {
     for p in spike::synth::profiles() {
-        let program = spike::synth::generate(&p, 30.0 / p.routines as f64, 1);
-        let dense = analyze_with(&program, &with_repr(Representation::Dense, 1));
-        let sparse1 = analyze_with(&program, &with_repr(Representation::Sparse, 1));
-        let sparse8 = analyze_with(&program, &with_repr(Representation::Sparse, 8));
-        assert_identical(&program, &dense, &sparse1);
-        assert_identical(&program, &dense, &sparse8);
-        assert_eq!(sparse1.stats.representation, Representation::Sparse, "{}", p.name);
-        assert_eq!(dense.stats.representation, Representation::Dense, "{}", p.name);
+        for seed in 1..=3 {
+            let program = spike::synth::generate(&p, 30.0 / p.routines as f64, seed);
+            let fifo = analyze_with(&program, &with(Scheduler::Fifo, 1));
+            let baseline = analyze_baseline(&program);
+            let mut visits = Vec::new();
+            for threads in [1, 8] {
+                let sched = analyze_with(&program, &with(Scheduler::SccWave, threads));
+                assert_identical(&program, &fifo, &sched);
+                for (rid, r) in program.iter() {
+                    assert_eq!(
+                        sched.summary.routine(rid),
+                        &baseline.summaries[rid.index()],
+                        "{} seed {seed}: baseline mismatch for {}",
+                        p.name,
+                        r.name()
+                    );
+                }
+                visits.push((sched.stats.phase1_visits, sched.stats.phase2_visits));
+            }
+            assert_eq!(visits[0], visits[1], "{} seed {seed}: effort varies with threads", p.name);
+        }
     }
 }
 
@@ -120,8 +125,8 @@ proptest! {
 
     /// Both engines, and the scheduled engine at every worker count,
     /// agree on every observable output — and the scheduled engine's
-    /// effort is identical at every worker count, since the wave solvers
-    /// partition the work rather than race for it.
+    /// effort is identical at every worker count, since threads size
+    /// only the front end.
     #[test]
     fn scheduled_matches_fifo_bit_for_bit(program in arb_program()) {
         let fifo = analyze_with(&program, &with(Scheduler::Fifo, 1));
@@ -144,7 +149,6 @@ proptest! {
         prop_assert_eq!(serial.stats.phase1_visits, wide.stats.phase1_visits);
         prop_assert_eq!(serial.stats.phase2_visits, wide.stats.phase2_visits);
         prop_assert_eq!(serial.stats.waves, wide.stats.waves);
-        prop_assert!(wide.stats.phase_workers >= 1);
     }
 
     /// The scheduled engine never evaluates more nodes than the FIFO
@@ -206,74 +210,5 @@ proptest! {
         }
         prop_assert_eq!(&incremental.psg, &scratch.psg);
         prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
-    }
-
-    /// Sparse and dense are the same analysis in different clothes: every
-    /// observable — summaries, PSG, `memory_bytes` — is bit-identical at
-    /// 1 and at 8 workers, whatever program the generator draws.
-    #[test]
-    fn sparse_matches_dense_bit_for_bit(program in arb_program()) {
-        let dense = analyze_with(&program, &with_repr(Representation::Dense, 1));
-        let sparse1 = analyze_with(&program, &with_repr(Representation::Sparse, 1));
-        let sparse8 = analyze_with(&program, &with_repr(Representation::Sparse, 8));
-        assert_identical(&program, &dense, &sparse1);
-        assert_identical(&program, &dense, &sparse8);
-        prop_assert_eq!(sparse1.stats.phase1_visits, sparse8.stats.phase1_visits);
-        prop_assert_eq!(sparse1.stats.phase2_visits, sparse8.stats.phase2_visits);
-    }
-
-    /// Chain contraction only ever removes work: the sparse engine's
-    /// chain evaluations never exceed the dense engine's node visits
-    /// under the same SCC-wave schedule, because every contracted
-    /// pass-through node the dense engine would sweep is folded into a
-    /// label composition the sparse engine never revisits.
-    #[test]
-    fn chains_never_visit_more(program in arb_program()) {
-        let dense = analyze_with(&program, &with_repr(Representation::Dense, 1));
-        let sparse = analyze_with(&program, &with_repr(Representation::Sparse, 1));
-        prop_assert!(
-            sparse.stats.phase1_visits + sparse.stats.phase2_visits
-                <= dense.stats.phase1_visits + dense.stats.phase2_visits,
-            "sparse {} + {} vs dense {} + {}",
-            sparse.stats.phase1_visits,
-            sparse.stats.phase2_visits,
-            dense.stats.phase1_visits,
-            dense.stats.phase2_visits
-        );
-    }
-
-    /// The sparse engine composes with incremental invalidation: a warm
-    /// cache re-analysis under the sparse default — which rebuilds chains
-    /// only for the dirtied routines and reuses the rest — reaches
-    /// exactly the solution a from-scratch dense FIFO analysis of the
-    /// edited program computes. (In debug builds the cache additionally
-    /// asserts the partial chain rebuild equals a from-scratch chain
-    /// build.)
-    #[test]
-    fn incremental_sparse_matches_scratch(seed in any::<u64>()) {
-        let program = spike::synth::generate_executable(seed, 6);
-        let mut cache = AnalysisCache::new(with_repr(Representation::Sparse, 2));
-        cache.analyze(&program);
-
-        let victim = program
-            .iter()
-            .flat_map(|(_, r)| {
-                (0..r.len() as u32).map(move |i| (r.addr() + i, &r.insns()[i as usize]))
-            })
-            .filter(|(addr, insn)| {
-                !insn.is_terminator() && !program.relocations().contains_key(addr)
-            })
-            .last()
-            .map(|(addr, _)| addr);
-        prop_assert!(victim.is_some(), "generated executables have deletable instructions");
-        let (edited, changed) = Rewriter::new(&program)
-            .delete(victim.unwrap())
-            .finish()
-            .expect("delete relinks");
-
-        let incremental = cache.reanalyze(&edited, &changed);
-        prop_assert_eq!(incremental.stats.representation, Representation::Sparse);
-        let scratch = analyze_with(&edited, &with(Scheduler::Fifo, 1));
-        assert_identical(&edited, incremental, &scratch);
     }
 }
